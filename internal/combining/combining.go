@@ -61,12 +61,17 @@ func FromLocal(local []float64) Aggregate {
 	return a
 }
 
-// Combine merges other into a (pointwise sum/max/min).
+// Uniform reports whether all four statistic vectors have length n — the
+// shape every aggregate a tree of n-principal vectors exchanges must have.
+func (a Aggregate) Uniform(n int) bool {
+	return len(a.Sum) == n && len(a.Max) == n && len(a.Min) == n && len(a.SumSq) == n
+}
+
+// Combine merges other into a (pointwise sum/max/min) over the principals
+// both carry; a ragged other is folded only as far as its shortest vector.
 func (a *Aggregate) Combine(other Aggregate) {
-	for i := range a.Sum {
-		if i >= len(other.Sum) {
-			break
-		}
+	n := min(len(a.Sum), len(other.Sum), len(other.Max), len(other.Min), len(other.SumSq))
+	for i := 0; i < n; i++ {
 		a.Sum[i] += other.Sum[i]
 		a.SumSq[i] += other.SumSq[i]
 		if other.Max[i] > a.Max[i] {

@@ -315,6 +315,19 @@ func TestAggregateCombineMismatchedLengths(t *testing.T) {
 	}
 }
 
+// TestAggregateCombineRagged pins that a peer aggregate whose statistic
+// vectors differ in length is folded only as far as its shortest vector.
+func TestAggregateCombineRagged(t *testing.T) {
+	a := FromLocal([]float64{1, 2})
+	a.Combine(Aggregate{Sum: []float64{10, 20}, Max: []float64{30}, Count: 1})
+	if a.Sum[0] != 1 || a.Sum[1] != 2 {
+		t.Fatalf("ragged aggregate folded: %+v", a)
+	}
+	if !a.Uniform(2) || (Aggregate{Sum: []float64{1}}).Uniform(1) {
+		t.Fatal("Uniform misreports vector shape")
+	}
+}
+
 func TestUnknownMessageIgnored(t *testing.T) {
 	n := NewBuilder(0).Transport(func(NodeID, interface{}) {}).
 		Clock(func() time.Duration { return 0 }).Build()

@@ -201,11 +201,13 @@ func (d *DeltaDecoder) N() int { return d.n }
 // Apply folds one frame into the reconstructed state and returns the
 // resulting aggregate. It returns ok false — and the caller must drop the
 // message — when the frame is a delta that does not extend the decoder's
-// sequence (lost frame, sender restart, or length mismatch); the decoder
-// then stays desynchronized until the next full frame.
+// sequence (lost frame, sender restart, or length mismatch), or when any
+// frame's statistic vectors are ragged; the decoder then stays
+// desynchronized until the next full frame.
 func (d *DeltaDecoder) Apply(f DeltaFrame) (Aggregate, bool) {
+	stats := Aggregate{Sum: f.Sum, Max: f.Max, Min: f.Min, SumSq: f.SumSq}
 	if f.Full {
-		if f.N != d.n || len(f.Sum) != d.n {
+		if f.N != d.n || !stats.Uniform(d.n) {
 			d.synced = false
 			d.desyncs++
 			return Aggregate{}, false
@@ -219,13 +221,13 @@ func (d *DeltaDecoder) Apply(f DeltaFrame) (Aggregate, bool) {
 		d.synced = true
 		return d.agg.clone(), true
 	}
-	if !d.synced || f.Seq != d.seq+1 || f.N != d.n {
+	if !d.synced || f.Seq != d.seq+1 || f.N != d.n || !stats.Uniform(len(f.Idx)) {
 		d.synced = false
 		d.desyncs++
 		return Aggregate{}, false
 	}
 	for k, i := range f.Idx {
-		if i < 0 || i >= d.n || k >= len(f.Sum) {
+		if i < 0 || i >= d.n {
 			d.synced = false
 			d.desyncs++
 			return Aggregate{}, false

@@ -200,3 +200,27 @@ func TestDeltaFrameBoundsChecked(t *testing.T) {
 		t.Fatalf("desyncs = %d, want 2", dec.Desyncs())
 	}
 }
+
+// TestDeltaRaggedFramesDropped pins that frames whose statistic vectors are
+// not all the declared length — dense vectors shorter than N on a full
+// frame, or sparse vectors not parallel to Idx on a delta — are dropped as
+// desyncs instead of being indexed out of range.
+func TestDeltaRaggedFramesDropped(t *testing.T) {
+	dec := NewDeltaDecoder(2)
+	short := DeltaFrame{Seq: 1, Full: true, N: 2, Sum: []float64{1, 2}, Max: []float64{1}}
+	if _, ok := dec.Apply(short); ok {
+		t.Fatal("full frame with a short Max vector accepted")
+	}
+	full := DeltaFrame{Seq: 1, Full: true, N: 2,
+		Sum: []float64{1, 2}, Max: []float64{1, 2}, Min: []float64{1, 2}, SumSq: []float64{1, 4}}
+	if _, ok := dec.Apply(full); !ok {
+		t.Fatal("well-formed full frame rejected")
+	}
+	ragged := DeltaFrame{Seq: 2, N: 2, Idx: []int{0}, Sum: []float64{1}}
+	if _, ok := dec.Apply(ragged); ok {
+		t.Fatal("delta with Sum but no Max/Min/SumSq entries accepted")
+	}
+	if dec.Desyncs() != 2 {
+		t.Fatalf("desyncs = %d, want 2", dec.Desyncs())
+	}
+}

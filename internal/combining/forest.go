@@ -108,6 +108,15 @@ func (f *Forest) Tree(t int) *Node { return f.trees[t] }
 // shared; callers must not mutate it.
 func (f *Forest) Component(t int) []int { return f.members[t] }
 
+// Width returns tree t's principal-vector length (0 for an unknown tree):
+// the width every aggregate exchanged on that tree must have.
+func (f *Forest) Width(t int) int {
+	if t < 0 || t >= len(f.members) {
+		return 0
+	}
+	return len(f.members[t])
+}
+
 // ID returns the shared node id.
 func (f *Forest) ID() NodeID { return f.trees[0].ID() }
 

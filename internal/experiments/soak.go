@@ -99,7 +99,7 @@ func runSoak() (*soakOutcome, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	if err := sm.EnablePersistence(dir, 1); err != nil {
+	if err := sm.EnablePersistence(dir); err != nil {
 		return nil, err
 	}
 	plane, err := sm.EnableControlPlane(soakLead)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/combining"
 	"repro/internal/core"
+	"repro/internal/treenet"
 )
 
 func TestHostOfAndSameEndpoint(t *testing.T) {
@@ -112,7 +113,7 @@ func l7Rig(t *testing.T, capacity float64, lbA, lbB float64, n int) (*Backend, [
 		for i := 0; i < n; i++ {
 			r, err := NewRedirector(RedirectorConfig{
 				Engine: eng, ID: i, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
-				Tree: &TreeConfig{
+				Tree: &treenet.Spec{
 					NodeID:   combining.NodeID(i),
 					Parent:   topo.Parent[combining.NodeID(i)],
 					Children: topo.Children[combining.NodeID(i)],
@@ -128,7 +129,7 @@ func l7Rig(t *testing.T, capacity float64, lbA, lbB float64, n int) (*Backend, [
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j {
-					reds[i].transport.SetPeer(combining.NodeID(j), reds[j].TreeAddr())
+					reds[i].SetTreePeer(combining.NodeID(j), reds[j].TreeAddr())
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package l7
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/combining"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/treenet"
 )
 
 // staleRig builds a two-redirector tree (root 0 ← child 1) with a tight
@@ -52,7 +55,7 @@ func staleRig(t *testing.T, staleness, failureTimeout time.Duration) (root, chil
 		}
 		r, err := NewRedirector(RedirectorConfig{
 			Engine: eng, ID: i, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
-			Tree: &TreeConfig{
+			Tree: &treenet.Spec{
 				NodeID: combining.NodeID(i), Parent: parent, Children: children,
 				Members:        []combining.NodeID{0, 1},
 				FailureTimeout: failureTimeout,
@@ -64,8 +67,8 @@ func staleRig(t *testing.T, staleness, failureTimeout time.Duration) (root, chil
 		t.Cleanup(func() { r.Close() })
 		reds[i] = r
 	}
-	reds[0].transport.SetPeer(1, reds[1].TreeAddr())
-	reds[1].transport.SetPeer(0, reds[0].TreeAddr())
+	reds[0].SetTreePeer(1, reds[1].TreeAddr())
+	reds[1].SetTreePeer(0, reds[0].TreeAddr())
 	return reds[0], reds[1]
 }
 
@@ -157,14 +160,22 @@ func TestRootKillReparentsAndResumesFreshWindows(t *testing.T) {
 	// itself into a singleton tree, and — as its own root — escape the
 	// conservative fallback with a stream of fresh windows.
 	root.Close()
+	reparents := func() string {
+		for _, line := range strings.Split(fetchBody(t, child.URL()+"/v1/metrics"), "\n") {
+			if v, ok := strings.CutPrefix(line, "rsa_treenet_reparents_total "); ok {
+				return v
+			}
+		}
+		return "0"
+	}
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			recs := child.Observer().Ring().Snapshot(3)
-			t.Fatalf("child never resumed fresh windows after root kill: reparents=%d trace=%+v",
-				child.reparent.Reparents(), recs)
+			t.Fatalf("child never resumed fresh windows after root kill: reparents=%s trace=%+v",
+				reparents(), recs)
 		}
-		if child.reparent.Reparents() > 0 {
+		if reparents() != "0" {
 			recs := child.Observer().Ring().Snapshot(3)
 			fresh := len(recs) == 3
 			for _, rec := range recs {
@@ -178,8 +189,12 @@ func TestRootKillReparentsAndResumesFreshWindows(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if p := child.reparent.Parent(); p != -1 {
-		t.Fatalf("child's parent after reparenting = %d, want -1 (root)", p)
+	var topo obs.TopologyInfo
+	if err := json.Unmarshal([]byte(fetchBody(t, child.URL()+"/v1/topology")), &topo); err != nil {
+		t.Fatal(err)
+	}
+	if topo.Root != topo.Self {
+		t.Fatalf("child's root after reparenting = %d, want itself (%d)", topo.Root, topo.Self)
 	}
 	// The fall back and recovery both left an audit trail: some windows ran
 	// conservative during the outage, and the trace has since gone fresh.

@@ -25,6 +25,7 @@ import (
 	"repro/internal/ctrlplane"
 	"repro/internal/health"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/simnet"
@@ -120,11 +121,10 @@ type Sim struct {
 	windowTicker   *vclock.Ticker
 
 	// Durable-state plane (EnablePersistence): one persist.Store per
-	// redirector, written every persistEvery windows; rootStore is also fed
-	// agreement-set snapshots at publish time so a restarted root can
-	// re-broadcast the newest configuration.
-	stores       map[int]*persist.Store
-	persistEvery int
+	// redirector, written every window; rootStore is also fed agreement-set
+	// snapshots at publish time so a restarted root can re-broadcast the
+	// newest configuration.
+	stores map[int]*persist.Store
 
 	// Fault-injection state (see fault.go in this package): servers by
 	// name, their owners and base capacities, which are currently crashed,
@@ -148,15 +148,11 @@ type RNode struct {
 	Tree   *combining.Node
 	estBuf []float64 // reused local-estimate buffer for the tree feed
 
-	// Persistence scratch (EnablePersistence): reused export buffers, the
-	// newest set version already saved durably, and the window countdown to
-	// the next append. Touched only by the goroutine running this node's
-	// window (startOne) — never shared.
-	pm           [][]float64
-	pt           []float64
-	pe           []float64
+	// Persistence scratch (EnablePersistence): the window-record builder
+	// and the newest set version already saved durably. Touched only by the
+	// goroutine running this node's window (startOne) — never shared.
+	rec          node.WindowRecord
 	savedSet     uint64
-	sinceAppend  int
 	lastSeenGate int
 }
 
@@ -472,16 +468,12 @@ func (s *Sim) EnableControlPlane(lead int) (*ctrlplane.Plane, error) {
 }
 
 // EnablePersistence arms the durable-state plane: every redirector gets a
-// persist.Store rooted at dir/r<id>, appends a window record every
-// `every` windows (<=1 means every window — the tightest crash-loss
-// bound), and durably saves each agreement-set snapshot it learns of.
-// Call before Run; RestartRedirector uses the stores to recover.
-func (s *Sim) EnablePersistence(dir string, every int) error {
-	if every <= 1 {
-		every = 1
-	}
+// persist.Store rooted at dir/r<id>, appends a window record every window
+// (the tightest crash-loss bound), and durably saves each agreement-set
+// snapshot it learns of. Call before Run; RestartRedirector uses the
+// stores to recover.
+func (s *Sim) EnablePersistence(dir string) error {
 	s.stores = make(map[int]*persist.Store, len(s.Redirectors))
-	s.persistEvery = every
 	for i := range s.Redirectors {
 		st, err := persist.Open(fmt.Sprintf("%s/r%d", dir, i))
 		if err != nil {
@@ -493,9 +485,10 @@ func (s *Sim) EnablePersistence(dir string, every int) error {
 }
 
 // persistWindow appends the just-started window's durable record (credit,
-// estimate, position) to this node's store, honoring the append cadence,
-// and saves any newly learned agreement set. Runs on the goroutine that ran
-// the node's window solve; a no-op when persistence is off.
+// estimate, position) to this node's store, built exactly as a live
+// node.Runtime builds it, and saves any newly learned agreement set. Runs
+// on the goroutine that ran the node's window solve; a no-op when
+// persistence is off.
 func (rn *RNode) persistWindow(epoch int, known uint64, gate int) {
 	st := rn.sim.stores[rn.Red.ID()]
 	if st == nil {
@@ -513,33 +506,7 @@ func (rn *RNode) persistWindow(epoch int, known uint64, gate int) {
 		}
 	}
 	rn.lastSeenGate = gate
-	rn.sinceAppend++
-	if rn.sinceAppend < rn.sim.persistEvery {
-		return
-	}
-	rn.sinceAppend = 0
-	n := rn.sim.Engine.NumPrincipals()
-	if rn.pt == nil {
-		rn.pt = make([]float64, n)
-		rn.pm = make([][]float64, n)
-		for i := range rn.pm {
-			rn.pm[i] = make([]float64, n)
-		}
-	}
-	rn.Red.ExportCredits(rn.pm, rn.pt)
-	rn.pe = rn.Red.ExportEstimate(rn.pe)
-	ws := persist.WindowState{
-		WindowSeq:  rn.Red.Windows,
-		Epoch:      epoch,
-		SetVersion: known,
-		Gate:       gate,
-		Estimate:   rn.pe,
-	}
-	if rn.sim.Engine.Mode() == core.Provider {
-		ws.CreditTotal = rn.pt
-	} else {
-		ws.Credit = rn.pm
-	}
+	ws := rn.rec.Build(rn.sim.Engine, rn.Red, epoch, known, gate)
 	if err := st.AppendWindow(ws); err != nil {
 		panic(fmt.Sprintf("sim: persist window: %v", err))
 	}
@@ -603,7 +570,6 @@ func (s *Sim) RestartRedirector(i int) {
 		rn.Red.SetObserver(s.Observers[i])
 	}
 	rn.savedSet = ws.SetVersion
-	rn.sinceAppend = 0
 	s.failed[i] = false
 	// Tree node: resume from the durable position in place (transport
 	// closures hold the Node pointer), rebuild the topology if failure

@@ -9,9 +9,8 @@ import (
 
 // WriteMetrics appends the rsa_treenet_* and rsa_tree_delta_* Prometheus
 // series for one tree transport (and optional failure detector) to w.
-// Either argument may be nil; both front-ends call this from their
-// obs.Handler Extra callbacks — before this the transport's send errors
-// were counted but unscrapeable.
+// Either argument may be nil; the node runtime (internal/node) calls this
+// from its obs.Handler Extra callback.
 func WriteMetrics(w io.Writer, t *Transport, det Detector) {
 	if t == nil {
 		return

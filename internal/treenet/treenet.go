@@ -37,6 +37,9 @@ const (
 	// backoffBase/backoffMax bound the redial schedule of a peer writer.
 	backoffBase = 50 * time.Millisecond
 	backoffMax  = 2 * time.Second
+	// maxFrameWidth bounds inbound principal vectors on a transport whose
+	// receiver never declared its tree widths (SetWidth).
+	maxFrameWidth = 1 << 16
 )
 
 // Spec describes one node's place in a combining tree of redirector
@@ -166,6 +169,7 @@ type Transport struct {
 	deltaResync int
 	encoders    map[deltaKey]*combining.DeltaEncoder
 	decoders    map[deltaKey]*combining.DeltaDecoder
+	width       func(tree int) int // inbound vector width per tree (SetWidth)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -262,6 +266,25 @@ func (t *Transport) EnableDelta(threshold float64, resyncEvery int) {
 	t.decoders = make(map[deltaKey]*combining.DeltaDecoder)
 }
 
+// SetWidth declares the principal-vector width of each component tree this
+// node receives on (combining.Forest.Width): a report or broadcast whose
+// aggregate or delta frame has any other width is dropped before a decoder
+// is sized from it. Without it inbound widths are bounded by maxFrameWidth.
+func (t *Transport) SetWidth(width func(tree int) int) {
+	t.deltaMu.Lock()
+	defer t.deltaMu.Unlock()
+	t.width = width
+}
+
+// fitsLocked reports whether an n-principal vector may arrive on tree.
+// Callers hold deltaMu.
+func (t *Transport) fitsLocked(tree, n int) bool {
+	if t.width == nil {
+		return n >= 0 && n <= maxFrameWidth
+	}
+	return n == t.width(tree)
+}
+
 // encodeDelta compresses agg for the (tree, to) stream, lazily creating
 // (or re-sizing) the encoder. Returns nil when compression is off.
 func (t *Transport) encodeDelta(tree int, to combining.NodeID, agg combining.Aggregate) *combining.DeltaFrame {
@@ -292,6 +315,9 @@ func (t *Transport) decodeDelta(tree int, from combining.NodeID, f *combining.De
 	key := deltaKey{tree, from}
 	dec := t.decoders[key]
 	if dec == nil || (f.Full && f.N != dec.N()) {
+		if !t.fitsLocked(tree, f.N) {
+			return combining.Aggregate{}, false
+		}
 		dec = combining.NewDeltaDecoder(f.N)
 		t.decoders[key] = dec
 	}
@@ -513,37 +539,50 @@ func (t *Transport) readLoop(conn net.Conn) {
 		if err := dec.Decode(&env); err != nil {
 			return
 		}
-		agg := env.Agg
-		if env.Delta != nil {
-			// Desynced stream: drop the message and wait for the sender's
-			// next full frame — the tree just aggregates staler data for a
-			// few epochs, exactly like a lost report.
-			var ok bool
-			if agg, ok = t.decodeDelta(env.Tree, combining.NodeID(env.From), env.Delta); !ok {
-				continue
-			}
+		if msg, ok := t.message(&env); ok {
+			t.handler(env.Tree, combining.NodeID(env.From), msg)
 		}
-		var msg interface{}
-		switch env.Kind {
-		case "report":
-			msg = combining.Report{Epoch: env.Epoch, Agg: agg, AckVersion: env.AckVersion}
-		case "broadcast":
-			b := combining.Broadcast{Epoch: env.Epoch, Agg: agg}
-			if env.CfgVersion > 0 {
-				b.Config = &combining.ConfigUpdate{
-					Version:   env.CfgVersion,
-					GateEpoch: env.CfgGate,
-					Payload:   env.CfgPayload,
-				}
-			}
-			msg = b
-		case "rejoin":
-			msg = combining.Rejoin{Epoch: env.Epoch, AckVersion: env.AckVersion}
-		default:
-			continue
-		}
-		t.handler(env.Tree, combining.NodeID(env.From), msg)
 	}
+}
+
+// message turns one decoded envelope into the combining message it
+// carries. ok is false when the frame must be dropped: an unknown kind, a
+// desynced delta stream, or an aggregate that is ragged or does not fit the
+// receiving tree's width. A dropped frame costs the tree one stale epoch,
+// exactly like a lost report.
+func (t *Transport) message(env *envelope) (interface{}, bool) {
+	agg := env.Agg
+	if env.Delta != nil {
+		var ok bool
+		if agg, ok = t.decodeDelta(env.Tree, combining.NodeID(env.From), env.Delta); !ok {
+			return nil, false
+		}
+	}
+	switch env.Kind {
+	case "report", "broadcast":
+	case "rejoin":
+		return combining.Rejoin{Epoch: env.Epoch, AckVersion: env.AckVersion}, true
+	default:
+		return nil, false
+	}
+	t.deltaMu.Lock()
+	fits := agg.Uniform(len(agg.Sum)) && t.fitsLocked(env.Tree, len(agg.Sum))
+	t.deltaMu.Unlock()
+	if !fits {
+		return nil, false
+	}
+	if env.Kind == "report" {
+		return combining.Report{Epoch: env.Epoch, Agg: agg, AckVersion: env.AckVersion}, true
+	}
+	b := combining.Broadcast{Epoch: env.Epoch, Agg: agg}
+	if env.CfgVersion > 0 {
+		b.Config = &combining.ConfigUpdate{
+			Version:   env.CfgVersion,
+			GateEpoch: env.CfgGate,
+			Payload:   env.CfgPayload,
+		}
+	}
+	return b, true
 }
 
 // Close shuts the listener down, tears down peer connections, and waits for
